@@ -12,7 +12,7 @@
 //   - cold: every request is a first-time submission of a distinct DDL
 //     history — each one executes the full analysis pipeline;
 //   - warm: the same histories are resubmitted for several rounds — every
-//     request is answered from the result store's hot tier;
+//     request is answered from the render cache without analysis;
 //   - get: every stored project is fetched by ID for several rounds —
 //     the zero-copy read path (pre-rendered body, one write, no
 //     marshalling);
@@ -20,8 +20,8 @@
 //     answers 304 with zero body bytes;
 //   - restart: the server is shut down and a fresh one is opened over the
 //     same persistent store directory; the same histories are resubmitted
-//     once — every request is answered from the recovered disk tier with
-//     zero re-analyses;
+//     once — every request is answered from the recovered segment files
+//     with zero re-analyses;
 //   - batch: the same histories stream through one NDJSON batch-ingest
 //     call against the restarted server — the aggregate-throughput shape
 //     of the same all-hits workload.
@@ -313,7 +313,6 @@ func run(projects, conc, rounds int, seed int64, out string, renderBytes int64, 
 	tel := telemetry.New()
 	srv, err := server.New(context.Background(), server.Config{
 		MaxConcurrent: conc,
-		LRUEntries:    2 * projects,
 		StoreDir:      storeDir,
 		RenderBytes:   renderBytes,
 		Telemetry:     tel,
@@ -375,14 +374,13 @@ func run(projects, conc, rounds int, seed int64, out string, renderBytes int64, 
 
 	// Restart phase: tear the process-equivalent down (listener and
 	// store) and recover a fresh server from the same directory. Every
-	// resubmission must be served from the recovered disk tier.
+	// resubmission must be served from the recovered store.
 	hs.Close()
 	if err := srv.Close(); err != nil {
 		return err
 	}
 	srv2, err := server.New(context.Background(), server.Config{
 		MaxConcurrent: conc,
-		LRUEntries:    2 * projects,
 		StoreDir:      storeDir,
 		RenderBytes:   renderBytes,
 		Telemetry:     telemetry.New(),
@@ -421,14 +419,14 @@ func run(projects, conc, rounds int, seed int64, out string, renderBytes int64, 
 	}
 
 	rep := report{
-		GeneratedBy:  "cmd/benchserve",
-		Date:         time.Now().UTC().Format("2006-01-02"),
-		Seed:         seed,
-		Projects:     projects,
-		Concurrency:  conc,
-		WarmRounds:   rounds,
-		Cores:        runtime.NumCPU(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		GeneratedBy:    "cmd/benchserve",
+		Date:           time.Now().UTC().Format("2006-01-02"),
+		Seed:           seed,
+		Projects:       projects,
+		Concurrency:    conc,
+		WarmRounds:     rounds,
+		Cores:          runtime.NumCPU(),
+		GOMAXPROCS:     runtime.GOMAXPROCS(0),
 		PipelineRuns:   srv.Analyses(),
 		RestartRuns:    srv2.Analyses() + srv2.Incrementals(),
 		RenderHitRate:  renderHitRate,

@@ -10,9 +10,8 @@
 //	schemaevod -corpus corpus.json            # preload a serialized corpus
 //	schemaevod -synth 151 -seed 1             # preload a synthetic corpus
 //	schemaevod -addr 127.0.0.1:0              # pick a free port (printed)
-//	schemaevod -cache /var/cache/schemaevo    # persistent result cache
 //	schemaevod -store-dir /var/lib/schemaevo  # persistent project store (survives restarts)
-//	schemaevod -store-shards 16 -hot-bytes 67108864
+//	schemaevod -store-dir DIR -store-shards 16
 //	schemaevod -render-bytes 134217728        # 128 MiB pre-rendered response cache
 //	schemaevod -scrub-interval 1m -disk-low 104857600  # self-healing knobs
 //	schemaevod -max-concurrent 8 -request-timeout 10s
@@ -48,15 +47,12 @@ type options struct {
 	corpusPath     string
 	synthN         int
 	seed           int64
-	cacheDir       string
 	storeDir       string
 	storeShards    int
 	analysisShards int
 	dialect        string
-	hotBytes       int64
 	maxConcurrent  int
 	requestTimeout time.Duration
-	lruEntries     int
 	renderBytes    int64
 	retryAfter     time.Duration
 	drainTimeout   time.Duration
@@ -75,15 +71,12 @@ func main() {
 	flag.StringVar(&o.corpusPath, "corpus", "", "preload a serialized corpus (JSON, see corpusgen)")
 	flag.IntVar(&o.synthN, "synth", 0, "preload a synthetic corpus of this many projects (0 disables; with -corpus, -corpus wins)")
 	flag.Int64Var(&o.seed, "seed", 1, "synthetic corpus generator seed (with -synth)")
-	flag.StringVar(&o.cacheDir, "cache", "", "pipeline disk-cache directory for submitted analyses (empty disables)")
-	flag.StringVar(&o.storeDir, "store-dir", "", "persistent project-store directory: submitted sources and results survive restarts (empty = memory only)")
+	flag.StringVar(&o.storeDir, "store-dir", "", "persistent project-store directory: submitted sources and results survive restarts (empty = memory only, unbounded)")
 	flag.IntVar(&o.storeShards, "store-shards", 0, "segment-file count for a new store directory (0 = 8; existing directories keep their count)")
 	flag.IntVar(&o.analysisShards, "analysis-shards", 0, "analysis pipeline shard count (0 = GOMAXPROCS; 1 = sequential path)")
 	flag.StringVar(&o.dialect, "dialect", "", "SQL dialect for every analysis: auto, generic, mysql, postgres or sqlite (default generic)")
-	flag.Int64Var(&o.hotBytes, "hot-bytes", 0, "in-memory hot-tier byte budget (0 = 256 MiB)")
 	flag.IntVar(&o.maxConcurrent, "max-concurrent", 0, "max concurrently executing submissions before 429 (0 = 2×GOMAXPROCS)")
 	flag.DurationVar(&o.requestTimeout, "request-timeout", 30*time.Second, "per-request deadline")
-	flag.IntVar(&o.lruEntries, "lru", 1024, "in-memory result store capacity (entries)")
 	flag.Int64Var(&o.renderBytes, "render-bytes", 0, "pre-rendered response cache byte budget (0 = 64 MiB, negative disables)")
 	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "backoff hint advertised on 429/503 responses")
 	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
@@ -158,15 +151,12 @@ func run(o options) error {
 
 	srv, err := server.New(context.Background(), server.Config{
 		Corpus:         c,
-		CacheDir:       o.cacheDir,
 		StoreDir:       o.storeDir,
 		StoreShards:    o.storeShards,
 		AnalysisShards: o.analysisShards,
 		Dialect:        o.dialect,
-		HotBytes:       o.hotBytes,
 		MaxConcurrent:  o.maxConcurrent,
 		RequestTimeout: o.requestTimeout,
-		LRUEntries:     o.lruEntries,
 		RenderBytes:    o.renderBytes,
 		RetryAfter:     o.retryAfter,
 		ScrubInterval:  o.scrubInterval,

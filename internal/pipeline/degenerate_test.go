@@ -101,7 +101,7 @@ func TestDegenerateLifetimes(t *testing.T) {
 }
 
 // TestDegenerateLifetimesParallelWorkers runs the same corpus through the
-// pipeline at several worker counts; degenerate histories must not depend
+// pipeline at several shard counts; degenerate histories must not depend
 // on scheduling.
 func TestDegenerateLifetimesParallelWorkers(t *testing.T) {
 	scheme := quantize.DefaultScheme()
@@ -111,12 +111,9 @@ func TestDegenerateLifetimesParallelWorkers(t *testing.T) {
 	}
 	for _, w := range []int{1, 2, 8} {
 		c := degenerateCorpus(t)
-		_, err := Run(context.Background(), c, Options{
-			ParseWorkers: w, AssembleWorkers: w, MetricsWorkers: w,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
+		if _, err := Run(context.Background(), c, Options{Shards: w}); err != nil {
+			t.Fatalf("shards=%d: %v", w, err)
 		}
-		assertSameAnalysis(t, "degenerate workers", seq, c)
+		assertSameAnalysis(t, "degenerate shards", seq, c)
 	}
 }

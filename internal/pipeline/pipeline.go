@@ -55,18 +55,10 @@ import (
 type Options struct {
 	// Shards sets how many analysis shards the corpus is hashed across;
 	// each shard is one goroutine running every stage of its projects to
-	// completion. <= 0 derives the count from the legacy worker fields,
-	// else GOMAXPROCS; the count is clamped to the project count, and a
-	// single shard runs inline in the caller's goroutine — exactly the
-	// sequential loop.
+	// completion. <= 0 selects GOMAXPROCS; the count is clamped to the
+	// project count, and a single shard runs inline in the caller's
+	// goroutine — exactly the sequential loop.
 	Shards int
-	// ParseWorkers, AssembleWorkers and MetricsWorkers are the legacy
-	// per-stage pool sizes; since the shard-per-core rewrite a stage
-	// cannot be sized independently, so when Shards is unset the shard
-	// count is the maximum of the three. Values <= 0 select GOMAXPROCS.
-	ParseWorkers    int
-	AssembleWorkers int
-	MetricsWorkers  int
 	// FailFast cancels the run on the first project failure instead of
 	// collecting every failure (the default).
 	FailFast bool
@@ -123,13 +115,8 @@ type Stats struct {
 	// CacheErrors, preserving its "anything unhealthy" meaning).
 	CacheCorrupt int `json:"cache_corrupt,omitempty"`
 
-	// Shards is the resolved shard count of the run; the legacy per-stage
-	// worker fields all report the same value (stages are no longer sized
-	// independently).
-	Shards          int `json:"shards"`
-	ParseWorkers    int `json:"parse_workers"`
-	AssembleWorkers int `json:"assemble_workers"`
-	MetricsWorkers  int `json:"metrics_workers"`
+	// Shards is the resolved shard count of the run.
+	Shards int `json:"shards"`
 
 	Elapsed time.Duration `json:"elapsed_ns"`
 
@@ -196,14 +183,8 @@ func Run(ctx context.Context, c *corpus.Corpus, opts Options) (Stats, error) {
 	if opts.Scheme != nil {
 		scheme = *opts.Scheme
 	}
-	shards := resolveShards(opts, n)
-	stats := Stats{
-		Projects:        n,
-		Shards:          shards,
-		ParseWorkers:    shards,
-		AssembleWorkers: shards,
-		MetricsWorkers:  shards,
-	}
+	shards := resolveShards(opts.Shards, n)
+	stats := Stats{Projects: n, Shards: shards}
 
 	// Resolve the dialect selection once: a forced adapter, or nil under
 	// "auto" (per-project detection inside ParseVersionsIn). An unknown
@@ -592,18 +573,6 @@ func (s stage) observed(j *job, ws *workerScratch) *job {
 	return j
 }
 
-// resolveShards picks the run's shard count: an explicit Options.Shards
-// wins; otherwise the legacy per-stage worker fields (their maximum, so
-// configurations tuned for the old staged pools keep their parallelism);
-// otherwise GOMAXPROCS. The result is clamped to the project count.
-func resolveShards(opts Options, jobs int) int {
-	s := opts.Shards
-	if s <= 0 {
-		s = max(opts.ParseWorkers, opts.AssembleWorkers, opts.MetricsWorkers)
-	}
-	return clampWorkers(s, jobs)
-}
-
 // shardFor hashes a project name onto a shard (FNV-1a): assignment is
 // deterministic across runs and independent of corpus order.
 func shardFor(name string, shards int) int {
@@ -619,8 +588,9 @@ func shardFor(name string, shards int) int {
 	return int(h % uint64(shards))
 }
 
-// clampWorkers resolves a shard-count request against the job count.
-func clampWorkers(n, jobs int) int {
+// resolveShards picks the run's shard count: the requested count, or
+// GOMAXPROCS when <= 0, clamped to the project count (at least one).
+func resolveShards(n, jobs int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}

@@ -56,36 +56,29 @@ func assertSameAnalysis(t *testing.T, label string, want, got *corpus.Corpus) {
 	}
 }
 
-// TestPipelineEquivalence is the satellite property test: for several
-// seeds and worker counts, the staged pipeline, the sequential Analyze and
-// the worker-pool AnalyzeParallel must produce identical Measures, Labels
-// and Assigned patterns for every project.
+// TestPipelineEquivalence is the property test: for several seeds and
+// shard counts, the pipeline and the sequential Analyze must produce
+// identical Measures, Labels and Assigned patterns for every project.
 func TestPipelineEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	if testing.Short() {
 		seeds = seeds[:2]
 	}
-	workerCounts := []int{1, 2, 8, runtime.GOMAXPROCS(0)}
+	shardCounts := []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)}
 	scheme := quantize.DefaultScheme()
 	for _, seed := range seeds {
 		seq := paperCorpus(t, seed)
 		if err := seq.Analyze(scheme); err != nil {
 			t.Fatal(err)
 		}
-		par := paperCorpus(t, seed)
-		if err := par.AnalyzeParallel(scheme, 4); err != nil {
-			t.Fatal(err)
-		}
-		assertSameAnalysis(t, "seq vs AnalyzeParallel", seq, par)
-		for _, w := range workerCounts {
+		for _, w := range shardCounts {
 			piped := paperCorpus(t, seed)
-			opts := Options{ParseWorkers: w, AssembleWorkers: w, MetricsWorkers: w}
-			stats, err := Run(context.Background(), piped, opts)
+			stats, err := Run(context.Background(), piped, Options{Shards: w})
 			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, w, err)
+				t.Fatalf("seed %d shards %d: %v", seed, w, err)
 			}
 			if stats.Analyzed != piped.Len() {
-				t.Fatalf("seed %d workers %d: analyzed %d of %d", seed, w, stats.Analyzed, piped.Len())
+				t.Fatalf("seed %d shards %d: analyzed %d of %d", seed, w, stats.Analyzed, piped.Len())
 			}
 			assertSameAnalysis(t, "seq vs pipeline", seq, piped)
 		}
@@ -186,32 +179,41 @@ func goodRepo(name string) *vcs.Repo {
 }
 
 // TestPipelineCollectsAllFailures: with FailFast off, every failing
-// project must be reported, attributed by name, and the healthy projects
-// must still be analyzed.
+// project must be reported, attributed by name and in corpus order
+// whatever the shard count, and the healthy projects must still be
+// analyzed.
 func TestPipelineCollectsAllFailures(t *testing.T) {
-	c := &corpus.Corpus{Projects: []*corpus.Project{
-		{Name: "bad-one", Repo: badRepo("bad-one")},
-		{Name: "ok-one", Repo: goodRepo("ok-one")},
-		{Name: "bad-two", Repo: badRepo("bad-two")},
-		{Name: "ok-two", Repo: goodRepo("ok-two")},
-		{Name: "bad-three", Repo: badRepo("bad-three")},
-	}}
-	stats, err := Run(context.Background(), c, Options{})
-	if err == nil {
-		t.Fatal("expected an error")
-	}
-	for _, name := range []string{"bad-one", "bad-two", "bad-three"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error does not mention %q: %v", name, err)
+	for _, shards := range []int{1, 4} {
+		c := &corpus.Corpus{Projects: []*corpus.Project{
+			{Name: "bad-one", Repo: badRepo("bad-one")},
+			{Name: "ok-one", Repo: goodRepo("ok-one")},
+			{Name: "bad-two", Repo: badRepo("bad-two")},
+			{Name: "ok-two", Repo: goodRepo("ok-two")},
+			{Name: "bad-three", Repo: badRepo("bad-three")},
+		}}
+		stats, err := Run(context.Background(), c, Options{Shards: shards})
+		if err == nil {
+			t.Fatalf("shards=%d: expected an error", shards)
 		}
-	}
-	if stats.Failed != 3 || stats.Analyzed != 2 {
-		t.Errorf("stats = %+v, want 3 failed and 2 analyzed", stats)
-	}
-	for _, p := range c.Projects {
-		wantAnalyzed := strings.HasPrefix(p.Name, "ok")
-		if p.Analyzed != wantAnalyzed {
-			t.Errorf("%s: Analyzed = %v, want %v", p.Name, p.Analyzed, wantAnalyzed)
+		msg := err.Error()
+		last := -1
+		for _, name := range []string{`"bad-one"`, `"bad-two"`, `"bad-three"`} {
+			at := strings.Index(msg, name)
+			if at < 0 {
+				t.Errorf("shards=%d: error does not mention %s: %v", shards, name, err)
+			} else if at < last {
+				t.Errorf("shards=%d: failures not in corpus order: %v", shards, err)
+			}
+			last = at
+		}
+		if stats.Failed != 3 || stats.Analyzed != 2 {
+			t.Errorf("shards=%d: stats = %+v, want 3 failed and 2 analyzed", shards, stats)
+		}
+		for _, p := range c.Projects {
+			wantAnalyzed := strings.HasPrefix(p.Name, "ok")
+			if p.Analyzed != wantAnalyzed {
+				t.Errorf("shards=%d: %s: Analyzed = %v, want %v", shards, p.Name, p.Analyzed, wantAnalyzed)
+			}
 		}
 	}
 }
@@ -224,7 +226,7 @@ func TestPipelineFailFast(t *testing.T) {
 		projects = append(projects, &corpus.Project{Name: name, Repo: goodRepo(name)})
 	}
 	c := &corpus.Corpus{Projects: projects}
-	stats, err := Run(context.Background(), c, Options{FailFast: true, ParseWorkers: 1, AssembleWorkers: 1, MetricsWorkers: 1})
+	stats, err := Run(context.Background(), c, Options{FailFast: true, Shards: 1})
 	if err == nil {
 		t.Fatal("expected an error")
 	}

@@ -5,30 +5,43 @@ import (
 	"runtime"
 	"testing"
 
+	"schemaevo/internal/corpus"
 	"schemaevo/internal/quantize"
 )
 
-// TestResolveShards pins the shard-count resolution order: explicit
-// Shards wins, then the maximum of the legacy per-stage worker fields,
-// then GOMAXPROCS; the result is clamped to the project count.
+// TestResolveShards pins the shard-count resolution: an explicit count
+// wins, <= 0 selects GOMAXPROCS, and the result is clamped to the project
+// count but never below one (an empty corpus still resolves one shard).
 func TestResolveShards(t *testing.T) {
 	gmp := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
-		name string
-		opts Options
-		jobs int
-		want int
+		name   string
+		shards int
+		jobs   int
+		want   int
 	}{
-		{"explicit", Options{Shards: 3}, 100, 3},
-		{"explicit-clamped-to-jobs", Options{Shards: 64}, 2, 2},
-		{"legacy-max-of-stage-pools", Options{ParseWorkers: 2, AssembleWorkers: 5, MetricsWorkers: 1}, 100, 5},
-		{"explicit-beats-legacy", Options{Shards: 2, ParseWorkers: 7}, 100, 2},
-		{"default-gomaxprocs", Options{}, 1 << 20, gmp},
-		{"single-project-degenerates", Options{Shards: 16}, 1, 1},
+		{"explicit", 3, 100, 3},
+		{"explicit-clamped-to-jobs", 64, 2, 2},
+		{"default-gomaxprocs", 0, 1 << 20, gmp},
+		{"negative-gomaxprocs", -1, 1 << 20, gmp},
+		{"single-project-degenerates", 16, 1, 1},
+		{"empty-corpus", 0, 0, gmp},
 	} {
-		if got := resolveShards(tc.opts, tc.jobs); got != tc.want {
+		if got := resolveShards(tc.shards, tc.jobs); got != tc.want {
 			t.Errorf("%s: resolveShards = %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRunEmptyCorpus pins the degenerate run: no projects, the default
+// shard count, no error and nothing analyzed.
+func TestRunEmptyCorpus(t *testing.T) {
+	stats, err := Run(context.Background(), &corpus.Corpus{}, Options{Shards: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Projects != 0 || stats.Analyzed != 0 || stats.Failed != 0 {
+		t.Fatalf("stats = %+v, want an empty run", stats)
 	}
 }
 
@@ -49,22 +62,23 @@ func TestShardForDeterministic(t *testing.T) {
 	}
 }
 
-// TestPipelineSingleShardSequentialPath is the satellite bugfix pin: a
-// run with one shard (explicitly, or via any workers<=1 legacy config)
-// must select the sequential execution path — Stats reports exactly one
-// shard, and the results are identical to the sequential Analyze. The
-// throughput side of the pin (pipeline >= sequential at GOMAXPROCS=1) is
-// enforced by cmd/benchpipe -check, which CI runs at GOMAXPROCS 1 and 2.
+// TestPipelineSingleShardSequentialPath pins that a run with one shard
+// (explicitly, or by default under GOMAXPROCS=1) selects the sequential
+// execution path — Stats reports exactly one shard, and the results are
+// identical to the sequential Analyze. The throughput side of the pin
+// (pipeline >= sequential at GOMAXPROCS=1) is enforced by
+// cmd/benchpipe -check, which CI runs at GOMAXPROCS 1 and 2.
 func TestPipelineSingleShardSequentialPath(t *testing.T) {
 	scheme := quantize.DefaultScheme()
 	seq := paperCorpus(t, 11)
 	if err := seq.Analyze(scheme); err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{
-		{Shards: 1},
-		{ParseWorkers: 1, AssembleWorkers: 1, MetricsWorkers: 1},
-	} {
+	for _, opts := range []Options{{Shards: 1}, {}} {
+		if opts.Shards == 0 {
+			// Shards unset under GOMAXPROCS=1 resolves the same single shard.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		}
 		piped := paperCorpus(t, 11)
 		stats, err := Run(context.Background(), piped, opts)
 		if err != nil {
@@ -72,10 +86,6 @@ func TestPipelineSingleShardSequentialPath(t *testing.T) {
 		}
 		if stats.Shards != 1 {
 			t.Fatalf("opts %+v: ran with %d shards, want the sequential path (1)", opts, stats.Shards)
-		}
-		if stats.ParseWorkers != 1 || stats.AssembleWorkers != 1 || stats.MetricsWorkers != 1 {
-			t.Fatalf("opts %+v: legacy worker stats %d/%d/%d, want 1/1/1",
-				opts, stats.ParseWorkers, stats.AssembleWorkers, stats.MetricsWorkers)
 		}
 		assertSameAnalysis(t, "seq vs single-shard pipeline", seq, piped)
 	}

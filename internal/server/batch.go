@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"schemaevo/internal/store"
 	"schemaevo/internal/vcs"
 )
 
@@ -57,10 +58,23 @@ func decodeBatchLine(line []byte) (*vcs.Repo, error) {
 	if err := json.Unmarshal(line, &repo); err != nil {
 		return nil, fmt.Errorf("invalid repository JSON: %w", err)
 	}
-	if err := repo.Validate(); err != nil {
+	if err := validateRepo(&repo); err != nil {
 		return nil, err
 	}
 	return &repo, nil
+}
+
+// validateRepo rejects a submission no analysis can succeed on — the
+// client's fault, answered 400 before any work: a structurally invalid
+// history, or one without a DDL file to analyze.
+func validateRepo(repo *vcs.Repo) error {
+	if err := repo.Validate(); err != nil {
+		return err
+	}
+	if repo.MainDDLPath() == "" {
+		return fmt.Errorf("repository %q has no DDL file", repo.Name)
+	}
+	return nil
 }
 
 // handleBatch is POST /v1/projects:batch.
@@ -69,7 +83,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// Refuse the whole stream up front — every line is a write. A
 		// read-only flip mid-stream surfaces as per-line errors instead
 		// (the submit path propagates the store's refusal).
-		s.writeReadOnly(w)
+		s.writeUnavailable(w, store.ErrReadOnly)
 		return
 	}
 	maxLine := s.cfg.MaxLineBytes

@@ -80,7 +80,8 @@ func ndjson(t *testing.T, repos ...any) string {
 
 // TestBatchMixedLines drives one batch through every per-line outcome:
 // fresh analysis, duplicate (cache hit), version extension
-// (incremental), malformed JSON, an invalid repo, and a blank line —
+// (incremental), malformed JSON, an invalid repo, a history with no DDL
+// file, and a blank line —
 // asserting each response line lands on the right input line number and
 // the summary tallies them.
 func TestBatchMixedLines(t *testing.T) {
@@ -95,13 +96,14 @@ func TestBatchMixedLines(t *testing.T) {
 		`{"name": 42}`,                       // line 4: invalid JSON shape
 		v5,                                   // line 5: ok, incremental
 		`{"name":"no-commits","commits":[]}`, // line 6: fails validation
+		noDDLRepo(),                          // line 7: nothing to analyze
 	)
 	status, lines := postBatch(t, hs.URL, body)
 	if status != http.StatusOK {
 		t.Fatalf("batch status = %d, want 200", status)
 	}
-	if len(lines) != 6 {
-		t.Fatalf("got %d response lines, want 5 results + summary:\n%+v", len(lines), lines)
+	if len(lines) != 7 {
+		t.Fatalf("got %d response lines, want 6 results + summary:\n%+v", len(lines), lines)
 	}
 
 	type want struct {
@@ -115,6 +117,7 @@ func TestBatchMixedLines(t *testing.T) {
 		{4, "error", ""},
 		{5, "ok", "incremental"},
 		{6, "error", ""},
+		{7, "error", ""},
 	}
 	for i, w := range wants {
 		got := lines[i]
@@ -133,8 +136,11 @@ func TestBatchMixedLines(t *testing.T) {
 		}
 	}
 	sum := lines[len(lines)-1]
-	if sum.Status != "summary" || sum.Lines != 6 || sum.OK != 3 || sum.Errors != 2 {
-		t.Fatalf("summary = %+v, want lines=6 ok=3 errors=2", sum)
+	if sum.Status != "summary" || sum.Lines != 7 || sum.OK != 3 || sum.Errors != 3 {
+		t.Fatalf("summary = %+v, want lines=7 ok=3 errors=3", sum)
+	}
+	if msg := lines[5].Error; !strings.Contains(msg, "no DDL file") {
+		t.Errorf("no-DDL line error = %q, want it to name the missing DDL file", msg)
 	}
 
 	// The batch fed the same store as single submissions: v5 superseded

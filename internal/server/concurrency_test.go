@@ -219,7 +219,7 @@ func TestBackpressure429(t *testing.T) {
 // submissions, distinct submissions, point GETs and corpus reads; run
 // under -race it is the data-race canary for the whole handler surface.
 func TestRaceMixedTraffic(t *testing.T) {
-	_, hs := newService(t, server.Config{Corpus: testCorpus(t), MaxConcurrent: 8, LRUEntries: 4})
+	_, hs := newService(t, server.Config{Corpus: testCorpus(t), MaxConcurrent: 8})
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		wg.Add(1)

@@ -164,10 +164,11 @@ func (s *Server) ScrubNow(ctx context.Context) store.ScrubReport {
 	return s.store.ScrubOnce(ctx, s.scrubConfig())
 }
 
-// writeReadOnly answers a write request while the store cannot accept
-// durable writes: 503 + Retry-After — the same shape as the drain gate,
-// so retrying clients converge once space recovers.
-func (s *Server) writeReadOnly(w http.ResponseWriter) {
+// writeUnavailable answers a write the store did not take — refused in
+// read-only mode, or a flush that failed and changed nothing: 503 +
+// Retry-After, the same shape as the drain gate, so retrying clients
+// converge once the store recovers.
+func (s *Server) writeUnavailable(w http.ResponseWriter, err error) {
 	w.Header().Set("Retry-After", s.retryAfterSeconds())
-	writeError(w, http.StatusServiceUnavailable, "store is in read-only mode", nil)
+	writeError(w, http.StatusServiceUnavailable, err.Error(), nil)
 }

@@ -7,7 +7,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,6 +174,32 @@ func TestDegradedWhileSaturated(t *testing.T) {
 	}
 }
 
+// TestMemoryModeStaysHealthy pins that a memory-mode server holds every
+// live result: past a thousand submissions none awaits repair, so the
+// service stays healthy.
+func TestMemoryModeStaysHealthy(t *testing.T) {
+	srv, hs := newService(t, server.Config{})
+	const n = 1025
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		data, err := json.Marshal(evolvingRepo(fmt.Sprintf("memory-%04d", i), 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(data)
+		b.WriteByte('\n')
+	}
+	if status, lines := postBatch(t, hs.URL, b.String()); status != http.StatusOK || lines[len(lines)-1].OK != n {
+		t.Fatalf("batch: status %d, summary %+v; want %d ok", status, lines[len(lines)-1], n)
+	}
+	if got := srv.Stored(); got != n {
+		t.Fatalf("Stored = %d, want %d", got, n)
+	}
+	if status, hz := getHealthz(t, hs.URL); status != http.StatusOK || hz.Status != "healthy" || hz.PendingRepairs != 0 {
+		t.Fatalf("healthz = %d %+v, want healthy with no pending repairs", status, hz)
+	}
+}
+
 // TestScrubRepairsOverHTTP is the self-healing acceptance path: every
 // submitted project's result record is declared latently corrupt by the
 // "store.scrub" chaos site; one scrub pass must detect ALL of them,
@@ -182,10 +210,7 @@ func TestScrubRepairsOverHTTP(t *testing.T) {
 	const n = 6
 	srv, hs := newService(t, server.Config{
 		StoreDir: t.TempDir(),
-		// A two-entry hot tier forces most repairs down the re-analysis
-		// path (the scrubber repairs hot entries from memory instead).
-		LRUEntries: 2,
-		Fault:      siteInjector("store.scrub", faultinject.KindCorrupt),
+		Fault:    siteInjector("store.scrub", faultinject.KindCorrupt),
 	})
 
 	ids := make([]string, n)

@@ -7,11 +7,10 @@
 //
 //   - a singleflight group collapses concurrent identical submissions
 //     (same content fingerprint) into one pipeline execution;
-//   - a sharded two-tier result store (internal/store) is the source of
-//     truth: a bounded in-memory hot tier over optional on-disk segment
-//     files holding both the encoded result and the submitted source
-//     snapshot — so eviction, corruption and restarts cost recomputation
-//     at worst, never data loss;
+//   - a sharded result store (internal/store) is the source of truth:
+//     in memory, or in on-disk segment files holding both the encoded
+//     result and the submitted source snapshot — so corruption and
+//     restarts cost recomputation at worst, never data loss;
 //   - version N+1 submissions of a known project are re-analyzed
 //     incrementally: the persisted snapshot proves the new history
 //     extends the old one, so only the suffix is parsed and diffed
@@ -31,7 +30,7 @@
 //
 // Telemetry (internal/telemetry) observes every endpoint — request
 // counters, latency histograms, an in-flight gauge — plus the store's
-// tiered hit/miss block and two analysis stages: "analyze.exec" counts
+// hit/miss block and two analysis stages: "analyze.exec" counts
 // full pipeline executions, "analyze.incr" counts incremental
 // re-analyses (the differential tests key off both). Fault injection
 // (internal/faultinject) reaches the handler path through the
@@ -70,15 +69,12 @@ type Config struct {
 	// Corpus, when non-nil, is analyzed at construction time and served
 	// by the /v1/corpus endpoints and by GET /v1/projects/{id}.
 	Corpus *corpus.Corpus
-	// CacheDir enables the pipeline's content-hash disk cache for
-	// submitted analyses (empty disables it; the result store is always
-	// on).
-	CacheDir string
-	// StoreDir enables the result store's disk tier: submitted analyses
+	// StoreDir enables the result store's disk mode: submitted analyses
 	// (results AND source snapshots) persist across restarts in sharded
-	// segment files under this directory. Empty selects memory-only mode.
+	// segment files under this directory. Empty selects memory-only mode,
+	// which holds every live project in memory, unbounded.
 	StoreDir string
-	// StoreShards is the disk tier's segment-file count. <= 0 selects 8.
+	// StoreShards is the store's segment-file count. <= 0 selects 8.
 	// Fixed at directory creation; reopening ignores a differing value.
 	StoreShards int
 	// Dialect selects the SQL grammar for every analysis — the startup
@@ -100,12 +96,6 @@ type Config struct {
 	// streaming batch endpoint is exempt as a whole (its lifetime is
 	// client-paced) and applies this budget to each line instead.
 	RequestTimeout time.Duration
-	// LRUEntries caps the store's in-memory hot tier by entry count.
-	// <= 0 selects 1024.
-	LRUEntries int
-	// HotBytes caps the hot tier by total encoded-result bytes. <= 0
-	// selects 256 MiB.
-	HotBytes int64
 	// RetryAfter is the backoff hint advertised on 429/503 responses.
 	// <= 0 selects 1s.
 	RetryAfter time.Duration
@@ -147,7 +137,7 @@ type Config struct {
 	// serving tier: each project's wire JSON rendered once into an
 	// immutable []byte and served with a single write). 0 selects 64 MiB;
 	// negative disables the cache — every read re-renders, which the
-	// eviction/re-analysis tests use to exercise the fall-through paths.
+	// re-analysis tests use to exercise the fall-through paths.
 	RenderBytes int64
 }
 
@@ -273,13 +263,11 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	}
 
 	st, err := store.Open(store.Config{
-		Dir:        cfg.StoreDir,
-		Shards:     cfg.StoreShards,
-		HotEntries: cfg.LRUEntries,
-		HotBytes:   cfg.HotBytes,
-		Telemetry:  s.tel,
-		Fault:      cfg.Fault,
-		OnCommit:   onCommit,
+		Dir:       cfg.StoreDir,
+		Shards:    cfg.StoreShards,
+		Telemetry: s.tel,
+		Fault:     cfg.Fault,
+		OnCommit:  onCommit,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -291,7 +279,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		s.corpus = &corpus.Corpus{}
 	}
 	if len(s.corpus.Projects) > 0 {
-		opts := pipeline.Options{CacheDir: cfg.CacheDir, Scheme: cfg.Scheme, Telemetry: s.tel, Shards: cfg.AnalysisShards, Dialect: cfg.Dialect}
+		opts := pipeline.Options{Scheme: cfg.Scheme, Telemetry: s.tel, Shards: cfg.AnalysisShards, Dialect: cfg.Dialect}
 		if _, err := pipeline.Run(ctx, s.corpus, opts); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("server: corpus analysis: %w", err)
@@ -506,7 +494,7 @@ func (s *Server) retryAfterSeconds() string {
 // bounded by the worker semaphore — and return the pattern-study result.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.store.ReadOnly() {
-		s.writeReadOnly(w)
+		s.writeUnavailable(w, store.ErrReadOnly)
 		return
 	}
 	maxBody := s.cfg.MaxBodyBytes
@@ -519,7 +507,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid repository JSON: "+err.Error(), nil)
 		return
 	}
-	if err := repo.Validate(); err != nil {
+	if err := validateRepo(&repo); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error(), nil)
 		return
 	}
@@ -716,7 +704,6 @@ func (s *Server) runFull(ctx context.Context, repo *vcs.Repo, fingerprint string
 	s.execStage.Enter()
 	begin := time.Now()
 	res, stats, aerr := pipeline.AnalyzeRepo(ctx, repo, pipeline.Options{
-		CacheDir:  s.cfg.CacheDir,
 		Scheme:    s.cfg.Scheme,
 		Fault:     s.cfg.Fault,
 		Telemetry: s.tel,
@@ -740,12 +727,10 @@ func (s *Server) runFull(ctx context.Context, repo *vcs.Repo, fingerprint string
 
 // commit persists one analyzed submission — result and source snapshot —
 // and folds it into the live aggregates, invalidating the superseded
-// version. An ordinary store flush error is not a request failure: the
-// result still serves from the hot tier and telemetry records the
-// incident. Read-only refusals and disk exhaustion ARE failures — the
-// write did not land durably, so acking it would promise durability the
-// store cannot deliver; the caller answers 503 and the client retries
-// once space recovers.
+// version. Any store error — a read-only refusal or a failed flush — means
+// the write did not land and the store's live state is unchanged, so it is
+// returned and never acknowledged: the caller answers 503 and the client
+// retries.
 func (s *Server) commit(repo *vcs.Repo, fingerprint, id string, res *pipeline.CachedResult) error {
 	prevID, err := s.store.Put(store.Entry{
 		ID:          id,
@@ -754,7 +739,7 @@ func (s *Server) commit(repo *vcs.Repo, fingerprint, id string, res *pipeline.Ca
 		Source:      pipeline.EncodeRepo(repo),
 		Result:      pipeline.EncodeResult(res),
 	})
-	if errors.Is(err, store.ErrReadOnly) || store.IsDiskFull(err) {
+	if err != nil {
 		return err
 	}
 	s.aggPut(id, repo.Name, assignedPattern(res.Measures, s.scheme), prevID)
@@ -799,11 +784,11 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusTooManyRequests, errSaturated.Error(), nil)
 		return
 	}
-	if errors.Is(err, store.ErrReadOnly) || store.IsDiskFull(err) {
-		// The store flipped read-only mid-request (the endpoint gate passed
-		// before the flip): the write did not land, so the client must
-		// retry — same contract as being gated up front.
-		s.writeReadOnly(w)
+	if errors.Is(err, store.ErrReadOnly) || errors.Is(err, store.ErrFlush) {
+		// The store refused the write (read-only since the endpoint gate
+		// passed) or failed to land it: nothing changed, so the client
+		// must retry — same contract as being gated up front.
+		s.writeUnavailable(w, err)
 		return
 	}
 	var ae *analysisError
@@ -905,9 +890,9 @@ func (s *Server) renderCorpus(id string, p *corpus.Project) renderEntry {
 
 // handleProject is GET /v1/projects/{id}: the rendered-body cache first
 // (one Write, no decode, no marshal), then the result store (any
-// previously submitted history, hot or disk tier), then on-demand
-// re-analysis from the persisted source snapshot (an evicted or
-// quarantined result is recomputable, not lost), then the corpus index
+// previously submitted history), then on-demand re-analysis from the
+// persisted source snapshot (a quarantined result is recomputable, not
+// lost), then the corpus index
 // (preloaded projects), else 404. Responses are byte-identical to the
 // submit response for the same content, carry a strong ETag, and answer
 // If-None-Match with a zero-body 304.
@@ -992,11 +977,12 @@ type deleteWire struct {
 }
 
 // handleDelete is DELETE /v1/projects/{id}: remove a submitted project
-// from the store (tombstoned on disk, gone from every tier and the
-// aggregates). Corpus projects are immutable — 403.
+// from the store (tombstoned on disk, gone from the index and the
+// aggregates). Corpus projects are immutable — 403. A store error leaves
+// the project in place and answers 503, like a refused submission.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if s.store.ReadOnly() {
-		s.writeReadOnly(w)
+		s.writeUnavailable(w, store.ErrReadOnly)
 		return
 	}
 	id := r.PathValue("id")
@@ -1005,8 +991,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	deleted, derr := s.store.Delete(id)
-	if errors.Is(derr, store.ErrReadOnly) {
-		s.writeReadOnly(w)
+	if derr != nil {
+		s.writeUnavailable(w, derr)
 		return
 	}
 	if !deleted {
@@ -1089,8 +1075,7 @@ func (s *Server) handleCorpusPatterns(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics is GET /metrics: the run's telemetry report JSON
 // (schema_version'd; see internal/telemetry). The report's store block
-// aggregates the result store's tiers; the cache block covers the
-// pipeline's disk cache when configured.
+// covers the result store, the render block the rendered-body cache.
 // The report is rendered fully before any header is written, so an
 // encoding failure surfaces as a clean 500 instead of a truncated 200.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"schemaevo/internal/faultinject"
 	"schemaevo/internal/server"
 	"schemaevo/internal/telemetry"
 	"schemaevo/internal/vcs"
@@ -286,6 +287,93 @@ func TestQuarantineReanalyzedOnDemand(t *testing.T) {
 	if rep := tel.Snapshot(); rep.Store.Quarantined == 0 || rep.Store.Reanalyses != 1 {
 		t.Fatalf("telemetry: quarantined=%d reanalyses=%d, want >0 and 1",
 			rep.Store.Quarantined, rep.Store.Reanalyses)
+	}
+
+	// The write-back restored the result: the next GET is a plain hit
+	// with no further analysis.
+	status, hdr, again := do(t, http.MethodGet, hs2.URL+"/v1/projects/"+wire.ID, nil)
+	if status != http.StatusOK || hdr.Get("X-Cache") != "hit" || !bytes.Equal(again, body) {
+		t.Fatalf("post-write-back GET: status %d X-Cache %q, want a byte-identical 200 hit", status, hdr.Get("X-Cache"))
+	}
+	if n := second.Analyses(); n != 1 {
+		t.Fatalf("analyses after write-back = %d, want 1", n)
+	}
+}
+
+// TestFlushFailureNotAcked pins the ack contract at the HTTP edge: a
+// submission whose store flush fails ("store.flush" io-error) answers 503
+// with Retry-After and changes nothing — the corpus stats are
+// byte-identical and the project's previous version still serves — and a
+// fault-free server reopened on the same directory serves every
+// 200-acked project byte-identically.
+func TestFlushFailureNotAcked(t *testing.T) {
+	dir := t.TempDir()
+	fault := faultinject.New(faultinject.Config{
+		Seed:  1,
+		Rate:  0.3,
+		Kinds: []faultinject.Kind{faultinject.KindErr},
+		Sites: []string{"store.flush"},
+	})
+	first, hs1 := newService(t, server.Config{StoreDir: dir, StoreShards: 2, Fault: fault})
+
+	acked := map[string][]byte{} // project ID -> acknowledged body
+	live := map[string]string{}  // project name -> ID of its last acked version
+	refused := 0
+	for v := 4; v <= 6; v++ {
+		for i := 0; i < 6; i++ {
+			name := fmt.Sprintf("ack-%02d", i)
+			_, _, statsBefore := do(t, http.MethodGet, hs1.URL+"/v1/corpus/stats", nil)
+			status, hdr, body := post(t, hs1.URL, evolvingRepo(name, v))
+			switch status {
+			case http.StatusOK:
+				var wire struct {
+					ID string `json:"id"`
+				}
+				if err := json.Unmarshal(body, &wire); err != nil {
+					t.Fatal(err)
+				}
+				acked[wire.ID] = body
+				live[name] = wire.ID
+			case http.StatusServiceUnavailable:
+				refused++
+				if hdr.Get("Retry-After") == "" {
+					t.Fatalf("%s v%d: 503 without Retry-After", name, v)
+				}
+				if _, _, statsAfter := do(t, http.MethodGet, hs1.URL+"/v1/corpus/stats", nil); !bytes.Equal(statsBefore, statsAfter) {
+					t.Fatalf("%s v%d: refused write changed the corpus stats\n--- before ---\n%s\n--- after ---\n%s", name, v, statsBefore, statsAfter)
+				}
+				if prev, ok := live[name]; ok {
+					if status, _, got := do(t, http.MethodGet, hs1.URL+"/v1/projects/"+prev, nil); status != http.StatusOK || !bytes.Equal(got, acked[prev]) {
+						t.Fatalf("%s v%d: previous version %s no longer serves (status %d)", name, v, prev, status)
+					}
+				}
+			default:
+				t.Fatalf("%s v%d: status %d, body %s", name, v, status, body)
+			}
+		}
+	}
+	if refused == 0 || len(live) == 0 {
+		t.Fatalf("fault plan refused %d of 18 submissions; the test needs a mix", refused)
+	}
+	hs1.Close()
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := server.New(context.Background(), server.Config{StoreDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	hs2 := newTestServer(t, second)
+	if got := second.Stored(); got != len(live) {
+		t.Fatalf("reopened store holds %d projects, want the %d acked", got, len(live))
+	}
+	for name, id := range live {
+		status, _, got := do(t, http.MethodGet, hs2.URL+"/v1/projects/"+id, nil)
+		if status != http.StatusOK || !bytes.Equal(got, acked[id]) {
+			t.Fatalf("%s: acked version %s after reopen: status %d, body differs = %v", name, id, status, !bytes.Equal(got, acked[id]))
+		}
 	}
 }
 

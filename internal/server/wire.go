@@ -126,7 +126,7 @@ type errorWire struct {
 
 // buildProjectWire derives the wire form of one analyzed project. The
 // rendering is a pure function of (id, project, history, measures), so
-// byte-identical inputs — e.g. a result decoded from the LRU store vs one
+// byte-identical inputs — e.g. a result decoded from the store vs one
 // freshly computed — produce byte-identical bodies.
 func buildProjectWire(id, project string, h *history.History, m metrics.Measures, scheme quantize.Scheme) projectWire {
 	var labels quantize.Labels

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +17,11 @@ import (
 // quarantines exactly the damaged records, never serves wrong bytes, and
 // every undamaged entry keeps working.
 
+// TestTornFlushRecovery pins the ack contract under torn writes: a Put
+// whose flush tears returns an error and changes nothing — the name's
+// previous version stays live and byte-identical, the torn ID is never
+// indexed — and after a reopen every acknowledged version is still the
+// live one, byte for byte, with no torn bytes left to quarantine.
 func TestTornFlushRecovery(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultinject.New(faultinject.Config{
@@ -29,48 +35,111 @@ func TestTornFlushRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	torn := map[string]bool{}
-	for i := 0; i < 30; i++ {
-		e := entry(i, 1)
-		if _, err := s.Put(e); err != nil {
+	acked := map[string]Entry{} // name -> last acknowledged version
+	torn := map[string]bool{}   // IDs whose Put failed
+	for v := 1; v <= 3; v++ {
+		for i := 0; i < 10; i++ {
+			e := entry(i, v)
+			if _, err := s.Put(e); err == nil {
+				acked[e.Name] = e
+				continue
+			} else if !errors.Is(err, ErrFlush) {
+				t.Fatalf("torn Put(%s) = %v, want ErrFlush", e.ID, err)
+			}
 			torn[e.ID] = true
-			// A torn flush is not data loss while the process lives: the
-			// hot tier still has the result.
-			wantGet(t, s, e.ID, "hot", e.Result)
+			if _, _, ok := s.Get(e.ID); ok {
+				t.Fatalf("torn Put(%s) was indexed", e.ID)
+			}
+			prev, had := acked[e.Name]
+			id, live := s.LatestID(e.Name)
+			if live != had || id != prev.ID {
+				t.Fatalf("after torn Put(%s): LatestID = %q, %v; want %q, %v", e.ID, id, live, prev.ID, had)
+			}
+			if had {
+				wantGet(t, s, prev.ID, "disk", prev.Result)
+			}
 		}
 	}
 	if len(torn) == 0 || len(torn) == 30 {
 		t.Fatalf("fault plan tore %d/30 writes; the test needs both torn and clean entries", len(torn))
 	}
+	if st := s.StatsSnapshot(); st.FlushErrors != int64(len(torn)) || st.Entries != len(acked) {
+		t.Fatalf("stats: %d flush errors, %d entries; want %d, %d", st.FlushErrors, st.Entries, len(torn), len(acked))
+	}
 	s.Close()
 
-	// "Crash": reopen the directory with no injector. Clean entries must
-	// be byte-identical; torn entries may be degraded but never wrong.
+	// Reopen with no injector: recovery must agree with what was acked.
 	s2, err := Open(Config{Dir: dir, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if q := s2.StatsSnapshot().Quarantined; q == 0 {
-		t.Fatal("recovery scan quarantined nothing despite torn writes")
+	if q := s2.StatsSnapshot().Quarantined; q != 0 {
+		t.Fatalf("recovery quarantined %d records; torn writes must leave no bytes behind", q)
 	}
-	for i := 0; i < 30; i++ {
-		e := entry(i, 1)
-		if torn[e.ID] {
-			if data, _, ok := s2.Get(e.ID); ok && !bytes.Equal(data, e.Result) {
-				t.Fatalf("torn entry %s served wrong result bytes", e.ID)
-			}
-			if src, ok := s2.Source(e.ID); ok && !bytes.Equal(src, e.Source) {
-				t.Fatalf("torn entry %s served wrong source bytes", e.ID)
-			}
-			continue
+	if s2.Len() != len(acked) {
+		t.Fatalf("Len after reopen = %d, want %d", s2.Len(), len(acked))
+	}
+	for name, e := range acked {
+		if id, ok := s2.LatestID(name); !ok || id != e.ID {
+			t.Fatalf("LatestID(%s) after reopen = %q, %v; want %q", name, id, ok, e.ID)
 		}
 		wantGet(t, s2, e.ID, "disk", e.Result)
-		src, ok := s2.Source(e.ID)
-		if !ok || !bytes.Equal(src, e.Source) {
-			t.Fatalf("clean entry %s lost its source to someone else's torn write", e.ID)
+		if src, ok := s2.Source(e.ID); !ok || !bytes.Equal(src, e.Source) {
+			t.Fatalf("acked entry %s lost its source", e.ID)
 		}
 	}
+	for id := range torn {
+		if _, _, ok := s2.Get(id); ok {
+			t.Fatalf("torn entry %s served after reopen", id)
+		}
+	}
+}
+
+// TestFailedFlushLeavesStoreUnchanged extends the ack contract to the
+// other mutations: on a store whose every flush tears, Delete and
+// PutResult return ErrFlush and change nothing — the entry stays live
+// with its result — and a clean reopen finds exactly the acked state.
+func TestFailedFlushLeavesStoreUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Config{Dir: dir, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := entry(0, 1)
+	mustPut(t, s, e)
+	s.Close()
+
+	tearAll := faultinject.New(faultinject.Config{
+		Seed: 1, Rate: 1,
+		Kinds: []faultinject.Kind{faultinject.KindErr},
+		Sites: []string{"store.flush"},
+	})
+	s, err = Open(Config{Dir: dir, Shards: 2, Fault: tearAll})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := s.Delete(e.ID); ok || !errors.Is(err, ErrFlush) {
+		t.Fatalf("torn Delete = %v, %v; want false, ErrFlush", ok, err)
+	}
+	if err := s.PutResult(e.ID, []byte("never acked")); !errors.Is(err, ErrFlush) {
+		t.Fatalf("torn PutResult = %v, want ErrFlush", err)
+	}
+	if id, ok := s.LatestID(e.Name); !ok || id != e.ID {
+		t.Fatalf("LatestID after torn writes = %q, %v; want %q", id, ok, e.ID)
+	}
+	wantGet(t, s, e.ID, "disk", e.Result)
+	s.Close()
+
+	s2, err := Open(Config{Dir: dir, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.StatsSnapshot(); st.Quarantined != 0 || st.Entries != 1 {
+		t.Fatalf("after reopen: %d quarantined, %d entries; want 0, 1", st.Quarantined, st.Entries)
+	}
+	wantGet(t, s2, e.ID, "disk", e.Result)
 }
 
 func TestTruncatedSegmentRecovery(t *testing.T) {
@@ -242,7 +311,7 @@ func TestCorruptFlushIsLatentUntilRead(t *testing.T) {
 // lookup degrades to a miss, the entry's other artifact keeps serving.
 func TestReadTimeQuarantine(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Shards: 1, HotEntries: 1})
+	s, err := Open(Config{Dir: dir, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +319,7 @@ func TestReadTimeQuarantine(t *testing.T) {
 
 	a, b := entry(0, 1), entry(1, 1)
 	mustPut(t, s, a)
-	mustPut(t, s, b) // evicts a's result from the hot tier
+	mustPut(t, s, b)
 
 	segPath := filepath.Join(dir, "shard-000.seg")
 	data, err := os.ReadFile(segPath)
@@ -289,7 +358,7 @@ func TestReadTimeQuarantine(t *testing.T) {
 	if err := s.PutResult(a.ID, a.Result); err != nil {
 		t.Fatal(err)
 	}
-	wantGet(t, s, a.ID, "hot", a.Result)
+	wantGet(t, s, a.ID, "disk", a.Result)
 }
 
 // TestCrossShardDeleteSurvivesCompaction pins the durable-delete

@@ -125,22 +125,7 @@ func (s *Store) ScrubOnce(ctx context.Context, cfg ScrubConfig) ScrubReport {
 		if ctx.Err() != nil {
 			break
 		}
-		if s.ReadOnly() {
-			rep.RepairFailed++
-			continue
-		}
-		// Cheapest repair first: only the durable record rotted — when the
-		// hot tier still holds the result, rewriting it restores durability
-		// without re-analysis. Otherwise re-derive it via the callback.
-		if data, ok := s.hot.get(id); ok {
-			if err := s.PutResult(id, data); err == nil && s.resultReadable(id) {
-				rep.Repaired++
-				s.repairs.Add(1)
-				s.tel.StoreRepair()
-				continue
-			}
-		}
-		if cfg.Repair == nil {
+		if s.ReadOnly() || cfg.Repair == nil {
 			rep.RepairFailed++
 			continue
 		}
@@ -208,21 +193,14 @@ func (s *Store) verifyEntry(ctx context.Context, sh *shard, id string, rep *Scru
 	return m.src.ok() && !m.res.ok()
 }
 
-// resultReadable reports whether id currently has a durable readable
-// result — the post-repair check.
+// resultReadable reports whether id currently has a readable result —
+// the post-repair check.
 func (s *Store) resultReadable(id string) bool {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	m := sh.byID[id]
-	if m == nil {
-		return false
-	}
-	if sh.file == nil {
-		_, ok := s.hot.get(id)
-		return ok
-	}
-	return m.res.ok()
+	return m != nil && m.hasResult()
 }
 
 // checkDiskBudget runs the watchdog: degrade to read-only below the

@@ -12,9 +12,8 @@ import (
 )
 
 // flipResultByte injects real latent bit-rot: one body byte of id's
-// result record is inverted on disk. The hot tier still holds the clean
-// copy — exactly the situation read-time verification cannot see until
-// eviction, and the scrubber exists to find.
+// result record is inverted on disk — damage no read has demanded yet,
+// which the scrubber exists to find.
 func flipResultByte(t *testing.T, s *Store, id string) {
 	t.Helper()
 	sh := s.shardFor(id)
@@ -157,7 +156,7 @@ func TestScrubCorruptSourceIsQuarantinedNotRepaired(t *testing.T) {
 		t.Fatal("repair callback ran for an entry whose result is intact")
 	}
 	// The result still serves even though the source is gone.
-	wantGet(t, s, e.ID, "hot", e.Result)
+	wantGet(t, s, e.ID, "disk", e.Result)
 }
 
 func TestScrubWithoutRepairCallbackCountsFailures(t *testing.T) {
@@ -169,10 +168,6 @@ func TestScrubWithoutRepairCallbackCountsFailures(t *testing.T) {
 	e := entry(0, 1)
 	mustPut(t, s, e)
 	flipResultByte(t, s, e.ID)
-	// Evict the hot copy too: with it present the scrubber would repair
-	// from memory without any callback (see TestScrubRepairsFromHotTier);
-	// this test pins the path where no repair source remains.
-	s.hot.remove(e.ID)
 
 	rep := s.ScrubOnce(context.Background(), ScrubConfig{Pace: -1})
 	if rep.Corrupt != 1 || rep.Repaired != 0 || rep.RepairFailed != 1 {
@@ -181,38 +176,6 @@ func TestScrubWithoutRepairCallbackCountsFailures(t *testing.T) {
 	if st := s.StatsSnapshot(); st.MissingResults != 1 {
 		t.Fatalf("MissingResults = %d, want 1", st.MissingResults)
 	}
-}
-
-// TestScrubRepairsFromHotTier pins the cheapest repair: when only the
-// durable record rotted and the hot tier still holds the result, the
-// scrubber restores durability by rewriting it — no callback, no
-// re-analysis.
-func TestScrubRepairsFromHotTier(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(Config{Dir: dir, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := entry(0, 1)
-	mustPut(t, s, e)
-	flipResultByte(t, s, e.ID)
-
-	rep := s.ScrubOnce(context.Background(), ScrubConfig{Pace: -1})
-	if rep.Corrupt != 1 || rep.Repaired != 1 || rep.RepairFailed != 0 {
-		t.Fatalf("report = %+v, want 1 corrupt repaired from the hot tier", rep)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The rewrite must be durable: a cold reopen serves the result from
-	// disk.
-	s2, err := Open(Config{Dir: dir, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	wantGet(t, s2, e.ID, "disk", e.Result)
 }
 
 func TestScrubFaultInjectedLatentCorruption(t *testing.T) {
@@ -273,7 +236,7 @@ func TestReadOnlyModeGatesWrites(t *testing.T) {
 	if _, err := s.Delete(e.ID); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Delete in read-only mode: %v, want ErrReadOnly", err)
 	}
-	wantGet(t, s, e.ID, "hot", e.Result)
+	wantGet(t, s, e.ID, "disk", e.Result)
 	if _, ok := s.Source(e.ID); !ok {
 		t.Fatal("Source must keep serving in read-only mode")
 	}
@@ -323,8 +286,7 @@ func TestDiskFullAppendDegradesToReadOnly(t *testing.T) {
 	if _, err := s.Put(entry(acked+1, 1)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("Put after degrade: %v, want ErrReadOnly", err)
 	}
-	// Every acked write still serves (hot tier is cold after reopen, so
-	// these are true disk reads).
+	// Every acked write still serves.
 	for i := 0; i < acked; i++ {
 		e := entry(i, 1)
 		wantGet(t, s, e.ID, "disk", e.Result)

@@ -1,28 +1,30 @@
 // Package store is the service's source of truth for analyzed projects: a
-// sharded, content-addressed, two-tier result store. The hot tier is a
-// bounded in-memory LRU of encoded results; the disk tier (optional —
-// enabled by Config.Dir) is one append-friendly segment file per shard
-// holding CRC-32C-framed records of both the analysis result and the
-// submitted source snapshot, in the pipeline's binary codec.
+// sharded, content-addressed result store. In memory mode every live
+// project's encoded result and source snapshot sit in the index itself; in
+// disk mode (enabled by Config.Dir) they live in one append-friendly
+// segment file per shard as CRC-32C-framed records, in the pipeline's
+// binary codec, and every read is verified against its frame.
 //
-// Persisting the source next to the result is what turns eviction and
-// corruption from data loss into extra work: a result missing from every
-// tier is recomputable from its snapshot, and a project submitting version
-// N+1 can be re-analyzed incrementally against its stored parse. The store
-// itself is policy-free — it keeps bytes, liveness and integrity; analysis
+// Persisting the source next to the result is what turns corruption from
+// data loss into extra work: a result that fails verification is
+// recomputable from its snapshot, and a project submitting version N+1 can
+// be re-analyzed incrementally against its stored parse. The store itself
+// is policy-free — it keeps bytes, liveness and integrity; analysis
 // belongs to the caller.
 //
 // Durability model: records are appended and flushed per operation, with
 // no fsync — the store targets crash-consistency (every record is either
 // wholly readable or quarantined by its frame CRC), not power-loss
-// durability. Liveness is resolved at recovery time by per-name
-// max-sequence: an overwrite simply appends newer records, a delete
-// appends a tombstone, and compaction rewrites a shard keeping live
-// records (at their original sequence numbers) plus any tombstone that
-// still guards the name — a tombstone may outrank stale records of the
-// same name in OTHER shards, so it is only dropped once the name is live
-// again under a newer sequence. See DESIGN.md §11 for the recovery
-// invariants.
+// durability. A mutation whose flush fails changes nothing: its bytes are
+// cut off the segment again and the error is returned, so callers never
+// acknowledge a write the store could not land. Liveness is resolved at
+// recovery time by per-name max-sequence: an overwrite simply appends
+// newer records, a delete appends a tombstone, and compaction rewrites a
+// shard keeping live records (at their original sequence numbers) plus any
+// tombstone that still guards the name — a tombstone may outrank stale
+// records of the same name in OTHER shards, so it is only dropped once the
+// name is live again under a newer sequence. See DESIGN.md §11 for the
+// recovery invariants.
 package store
 
 import (
@@ -49,6 +51,11 @@ import (
 // (HTTP 503) rather than treating this as data loss.
 var ErrReadOnly = errors.New("store: read-only mode")
 
+// ErrFlush wraps every failed segment write. The mutation it belonged to
+// did not happen, so callers answer retryable unavailability (HTTP 503)
+// exactly as for ErrReadOnly.
+var ErrFlush = errors.New("store: flush failed")
+
 // IsDiskFull reports whether err is an out-of-space condition (real or
 // injected via the "store.diskfull" fault site).
 func IsDiskFull(err error) bool {
@@ -56,21 +63,16 @@ func IsDiskFull(err error) bool {
 }
 
 // Config parameterizes a Store. The zero value is a valid memory-only
-// store with default hot-tier bounds.
+// store.
 type Config struct {
-	// Dir is the disk tier's directory; empty selects memory-only mode
-	// (source snapshots retained unboundedly in memory, results only in
-	// the hot tier — still recomputable after eviction).
+	// Dir is the segment files' directory; empty selects memory-only mode
+	// (results and source snapshots of live projects retained unboundedly
+	// in memory).
 	Dir string
 	// Shards is the number of disk segment files. <= 0 selects 8. The
 	// count is fixed at directory creation (persisted in store.json);
 	// reopening ignores a differing value.
 	Shards int
-	// HotEntries caps the hot tier's entry count. <= 0 selects 1024.
-	HotEntries int
-	// HotBytes caps the hot tier's total encoded-result bytes. <= 0
-	// selects 256 MiB.
-	HotBytes int64
 	// CompactMinBytes is the per-shard garbage floor below which
 	// compaction never triggers. <= 0 selects 1 MiB.
 	CompactMinBytes int64
@@ -112,10 +114,14 @@ func (r ref) ok() bool { return r.total != 0 }
 
 // meta is the in-memory index entry of one live project.
 type meta struct {
-	id, name, fp string
-	srcMem       []byte // memory mode: the snapshot itself
-	src, res     ref    // disk mode: record locations
+	id, name, fp   string
+	srcMem, resMem []byte // memory mode: the snapshot and result themselves
+	src, res       ref    // disk mode: record locations
 }
+
+// hasResult reports whether the entry has a readable result: held in
+// memory, or a disk record not (yet) found damaged.
+func (m *meta) hasResult() bool { return m.resMem != nil || m.res.ok() }
 
 // tomb tracks one durable tombstone a shard must carry through
 // compaction. A deleted name's stale records may survive in other shards
@@ -141,12 +147,11 @@ type shard struct {
 	garbage int64           // bytes of dead/damaged records awaiting compaction
 }
 
-// Store is the two-tier result store. All methods are safe for concurrent
-// use. Construct with Open.
+// Store is the result store. All methods are safe for concurrent use.
+// Construct with Open.
 type Store struct {
 	dir        string
 	shards     []*shard
-	hot        *hotTier
 	tel        *telemetry.Collector
 	fault      *faultinject.Injector
 	onCommit   func(id string, seq uint64)
@@ -272,7 +277,6 @@ func Open(cfg Config) (*Store, error) {
 	if s.compactMin <= 0 {
 		s.compactMin = 1 << 20
 	}
-	s.hot = newHotTier(cfg.HotEntries, cfg.HotBytes, func() { s.tel.StoreEvict() })
 
 	n := cfg.Shards
 	if n <= 0 {
@@ -501,19 +505,21 @@ func (s *Store) LatestID(name string) (string, bool) {
 	return e.id, ok
 }
 
-// Get returns the encoded result for id and which tier served it ("hot"
-// or "disk"). A disk hit is CRC-verified and promoted to the hot tier; a
-// record failing verification is quarantined — the entry survives as
-// source-only, recomputable on demand.
+// Get returns the encoded result for id and where it came from:
+// "memory" in memory mode, "disk" in disk mode, where every call reads
+// the record and verifies its CRC. A record failing verification is
+// quarantined — the entry survives as source-only, recomputable on demand.
 func (s *Store) Get(id string) (data []byte, tier string, ok bool) {
-	if data, ok := s.hot.get(id); ok {
-		s.tel.StoreHotHit(int64(len(data)))
-		return data, "hot", true
-	}
-	s.tel.StoreHotMiss()
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	m := sh.byID[id]
+	if m != nil && m.resMem != nil {
+		data = m.resMem
+		sh.mu.Unlock()
+		s.tel.StoreHotHit(int64(len(data)))
+		return data, "memory", true
+	}
+	s.tel.StoreHotMiss()
 	if m == nil || sh.file == nil || !m.res.ok() {
 		sh.mu.Unlock()
 		s.tel.StoreDiskMiss()
@@ -527,13 +533,12 @@ func (s *Store) Get(id string) (data []byte, tier string, ok bool) {
 		return nil, "", false
 	}
 	sh.mu.Unlock()
-	s.hot.put(id, body)
 	s.tel.StoreDiskHit(int64(len(body)))
 	return body, "disk", true
 }
 
 // Source returns the persisted source snapshot for id
-// (pipeline.EncodeRepo bytes), CRC-verified on the disk tier.
+// (pipeline.EncodeRepo bytes), CRC-verified in disk mode.
 func (s *Store) Source(id string) ([]byte, bool) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -567,55 +572,51 @@ func (s *Store) quarantineLocked(sh *shard, r *ref) {
 	s.tel.StoreQuarantine()
 }
 
+// frameRef locates a record framed at start whose body of bodyLen bytes
+// sits just before the 4-byte CRC trailer.
+func frameRef(start, total, bodyLen int64, seq uint64) ref {
+	return ref{start: start, total: total, bodyOff: start + total - 4 - bodyLen, bodyLen: bodyLen, seq: seq}
+}
+
 // Put stores one project: the source snapshot and (when known) the
 // result, superseding any live entry with the same name. It returns the
-// superseded entry's ID ("" when none, or unchanged). A flush error is
-// returned after the in-memory state is updated — the hot tier still
-// serves the result; the disk records are quarantined on next read. An
-// out-of-space flush additionally wraps syscall.ENOSPC (see IsDiskFull):
-// nothing durable landed, so callers must not acknowledge the write. In
-// read-only mode Put refuses up front with ErrReadOnly, mutating nothing.
+// superseded entry's ID ("" when none, or unchanged). A failed flush
+// changes nothing — the previous version stays live, the new ID is not
+// indexed — and returns an error wrapping ErrFlush (plus syscall.ENOSPC
+// when out of space, see IsDiskFull), so callers never acknowledge it. In
+// read-only mode Put refuses up front with ErrReadOnly.
 func (s *Store) Put(e Entry) (prevID string, err error) {
 	if s.readOnly.Load() {
 		return "", ErrReadOnly
 	}
 	end := s.seq.Add(2)
 	seqSrc, seqRes := end-2, end-1
+	m := &meta{id: e.ID, name: e.Name, fp: e.Fingerprint}
 	sh := s.shardFor(e.ID)
 	sh.mu.Lock()
-	if old := sh.byID[e.ID]; old != nil {
-		s.retireLocked(sh, old)
-	}
-	m := &meta{id: e.ID, name: e.Name, fp: e.Fingerprint}
 	if sh.file == nil {
-		m.srcMem = e.Source
+		m.srcMem, m.resMem = e.Source, e.Result
 	} else {
 		buf := appendRecord(nil, recSource, seqSrc, e.ID, e.Name, e.Fingerprint, e.Source)
-		m.src = ref{
-			start: sh.size, total: int64(len(buf)),
-			bodyOff: sh.size + int64(len(buf)) - 4 - int64(len(e.Source)), bodyLen: int64(len(e.Source)),
-			seq: seqSrc,
-		}
+		m.src = frameRef(sh.size, int64(len(buf)), int64(len(e.Source)), seqSrc)
 		if e.Result != nil {
-			resStart := sh.size + int64(len(buf))
+			n := int64(len(buf))
 			buf = appendRecord(buf, recResult, seqRes, e.ID, e.Name, e.Fingerprint, e.Result)
-			total := sh.size + int64(len(buf)) - resStart
-			m.res = ref{
-				start: resStart, total: total,
-				bodyOff: resStart + total - 4 - int64(len(e.Result)), bodyLen: int64(len(e.Result)),
-				seq: seqRes,
-			}
+			m.res = frameRef(sh.size+n, int64(len(buf))-n, int64(len(e.Result)), seqRes)
+		}
+		if err = s.flushLocked(sh, e.ID, buf); err != nil {
+			sh.mu.Unlock()
+			return "", err
 		}
 		sh.live += int64(len(buf))
-		err = s.flushLocked(sh, e.ID, buf)
+	}
+	if old := sh.byID[e.ID]; old != nil {
+		s.retireLocked(sh, old)
 	}
 	sh.byID[e.ID] = m
 	s.maybeCompactLocked(sh)
 	sh.mu.Unlock()
 
-	if e.Result != nil {
-		s.hot.put(e.ID, e.Result)
-	}
 	s.nmu.Lock()
 	prevID = s.byName[e.Name].id
 	s.byName[e.Name] = nameEntry{id: e.ID, seq: seqRes}
@@ -632,12 +633,12 @@ func (s *Store) Put(e Entry) (prevID string, err error) {
 			s.onCommit(prevID, seqRes)
 		}
 	}
-	return prevID, err
+	return prevID, nil
 }
 
 // PutResult attaches (or refreshes) the analysis result of a live entry —
-// the write-back after an on-demand re-analysis of an evicted or
-// quarantined result.
+// the write-back after an on-demand re-analysis of a quarantined result.
+// A failed flush leaves the entry's previous result state untouched.
 func (s *Store) PutResult(id string, result []byte) error {
 	if s.readOnly.Load() {
 		return ErrReadOnly
@@ -650,32 +651,33 @@ func (s *Store) PutResult(id string, result []byte) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("store: no live entry %s", id)
 	}
-	var err error
-	if sh.file != nil {
+	if sh.file == nil {
+		m.resMem = result
+	} else {
+		buf := appendRecord(nil, recResult, seq, m.id, m.name, m.fp, result)
+		r := frameRef(sh.size, int64(len(buf)), int64(len(result)), seq)
+		if err := s.flushLocked(sh, id, buf); err != nil {
+			sh.mu.Unlock()
+			return err
+		}
 		if m.res.ok() {
 			sh.garbage += m.res.total
 			sh.live -= m.res.total
 		}
-		buf := appendRecord(nil, recResult, seq, m.id, m.name, m.fp, result)
-		m.res = ref{
-			start: sh.size, total: int64(len(buf)),
-			bodyOff: sh.size + int64(len(buf)) - 4 - int64(len(result)), bodyLen: int64(len(result)),
-			seq: seq,
-		}
+		m.res = r
 		sh.live += int64(len(buf))
-		err = s.flushLocked(sh, id, buf)
 		s.maybeCompactLocked(sh)
 	}
 	sh.mu.Unlock()
-	s.hot.put(id, result)
 	if s.onCommit != nil {
 		s.onCommit(id, seq)
 	}
-	return err
+	return nil
 }
 
 // Delete removes a live entry: a tombstone record supersedes it on disk
-// (so recovery agrees), and every tier forgets it immediately.
+// (so recovery agrees), and the index forgets it immediately. A failed
+// tombstone flush leaves the entry live and returns the error.
 func (s *Store) Delete(id string) (bool, error) {
 	if s.readOnly.Load() {
 		return false, ErrReadOnly
@@ -688,9 +690,12 @@ func (s *Store) Delete(id string) (bool, error) {
 		sh.mu.Unlock()
 		return false, nil
 	}
-	var err error
 	if sh.file != nil {
 		buf := appendRecord(nil, recTombstone, seq, m.id, m.name, m.fp, nil)
+		if err := s.flushLocked(sh, id, buf); err != nil {
+			sh.mu.Unlock()
+			return false, err
+		}
 		// The tombstone is live, guarded state, not garbage-in-waiting: the
 		// deleted name's stale records may survive in OTHER shards (each
 		// version's ID shards independently), and only this record's higher
@@ -702,14 +707,12 @@ func (s *Store) Delete(id string) (bool, error) {
 		}
 		sh.tombs[m.name] = tomb{id: m.id, name: m.name, fp: m.fp, seq: seq, bytes: int64(len(buf))}
 		sh.live += int64(len(buf))
-		err = s.flushLocked(sh, id, buf)
 	}
 	s.retireLocked(sh, m)
 	delete(sh.byID, id)
 	s.maybeCompactLocked(sh)
 	sh.mu.Unlock()
 
-	s.hot.remove(id)
 	s.nmu.Lock()
 	if s.byName[m.name].id == id {
 		delete(s.byName, m.name)
@@ -718,11 +721,11 @@ func (s *Store) Delete(id string) (bool, error) {
 	if s.onCommit != nil {
 		s.onCommit(id, seq)
 	}
-	return true, err
+	return true, nil
 }
 
-// invalidate drops a superseded entry from the index and the hot tier
-// (its records become garbage; recovery ignores them by sequence order).
+// invalidate drops a superseded entry from the index (its records become
+// garbage; recovery ignores them by sequence order).
 func (s *Store) invalidate(id string) {
 	sh := s.shardFor(id)
 	sh.mu.Lock()
@@ -732,7 +735,6 @@ func (s *Store) invalidate(id string) {
 		s.maybeCompactLocked(sh)
 	}
 	sh.mu.Unlock()
-	s.hot.remove(id)
 }
 
 // retireLocked accounts a meta's records as garbage.
@@ -746,10 +748,9 @@ func (s *Store) retireLocked(sh *shard, m *meta) {
 }
 
 // Each calls fn for every live entry in name order, with the encoded
-// result when one is currently readable (nil otherwise — evicted in
-// memory mode, quarantined or pending on disk). It is the aggregate
-// rebuild hook a server runs at startup; reads go through the normal
-// tiers, warming the hot tier.
+// result when one is currently readable (nil otherwise — quarantined, or
+// never attached). It is the aggregate rebuild hook a server runs at
+// startup; reads go through Get.
 func (s *Store) Each(fn func(id, name string, result []byte)) {
 	s.nmu.Lock()
 	names := make([]string, 0, len(s.byName))
@@ -772,60 +773,65 @@ func (s *Store) Each(fn func(id, name string, result []byte)) {
 }
 
 // flushLocked writes buf at the shard's append offset, honoring the
-// "store.flush" fault site: KindErr tears the write (half the buffer
-// lands, then an error), KindCorrupt mangles the buffer before a
+// "store.flush" fault site: KindErr tears the write (a prefix of the
+// buffer lands, then an error), KindCorrupt mangles the buffer before a
 // successful write (latent bit-rot, caught by record CRCs), KindDelay
-// stalls. The append offset always advances by the bytes actually
-// written, so later records land where the index says they do.
+// stalls. A failed write is cut off the segment again, so recovery can
+// never elect a record its caller was told did not land; only when that
+// truncation fails too do the stray bytes stay, counted as garbage, with
+// the append offset past them.
 func (s *Store) flushLocked(sh *shard, key string, buf []byte) error {
 	// "store.slowdisk" simulates a degraded device: the write eventually
 	// succeeds, it just stalls first.
 	if s.fault.At("store.slowdisk", key) == faultinject.KindDelay {
 		s.fault.Sleep(context.Background())
 	}
-	// "store.diskfull" simulates ENOSPC: nothing lands on disk, the store
-	// degrades to read-only, and the caller must not acknowledge the
-	// write. Previously acked records are untouched.
+	var err error
+	// "store.diskfull" simulates ENOSPC: nothing lands on disk, and the
+	// store degrades to read-only. Previously acked records are untouched.
 	if s.fault.At("store.diskfull", key) == faultinject.KindErr {
-		s.flushErrors.Add(1)
-		s.tel.StoreFlushError()
+		err = syscall.ENOSPC
+	} else {
+		data := buf
+		switch s.fault.At("store.flush", key) {
+		case faultinject.KindErr:
+			// Tear at a key-derived offset so the cut can land anywhere in
+			// the batch — mid-frame, between records, or inside the CRC
+			// trailer — exactly like a device failing mid-write.
+			h := fnv.New32a()
+			h.Write([]byte(key))
+			cut := 1 + int(h.Sum32())%len(buf)
+			if cut >= len(buf) {
+				cut = len(buf) - 1
+			}
+			data = buf[:cut]
+			err = &faultinject.Error{Site: "store.flush", Key: key}
+		case faultinject.KindCorrupt:
+			s.fault.Mangle(buf, key)
+		case faultinject.KindDelay:
+			s.fault.Sleep(context.Background())
+		}
+		n, werr := sh.file.WriteAt(data, sh.size)
+		if err == nil {
+			err = werr
+		}
+		if err == nil {
+			sh.size += int64(n)
+			s.tel.StoreAppend(int64(len(buf)))
+			s.tel.StoreFlush()
+			return nil
+		}
+		if n > 0 && sh.file.Truncate(sh.size) != nil {
+			sh.size += int64(n)
+			sh.garbage += int64(n)
+		}
+	}
+	s.flushErrors.Add(1)
+	s.tel.StoreFlushError()
+	if IsDiskFull(err) {
 		s.diskFull()
-		return fmt.Errorf("store: flush: %w", syscall.ENOSPC)
 	}
-	switch s.fault.At("store.flush", key) {
-	case faultinject.KindErr:
-		// Tear at a key-derived offset so the cut can land anywhere in the
-		// batch — mid-frame, between records, or inside the CRC trailer —
-		// exactly like a real crash mid-write.
-		h := fnv.New32a()
-		h.Write([]byte(key))
-		cut := 1 + int(h.Sum32())%len(buf)
-		if cut >= len(buf) {
-			cut = len(buf) - 1
-		}
-		n, _ := sh.file.WriteAt(buf[:cut], sh.size)
-		sh.size += int64(n)
-		s.flushErrors.Add(1)
-		s.tel.StoreFlushError()
-		return &faultinject.Error{Site: "store.flush", Key: key}
-	case faultinject.KindCorrupt:
-		s.fault.Mangle(buf, key)
-	case faultinject.KindDelay:
-		s.fault.Sleep(context.Background())
-	}
-	n, err := sh.file.WriteAt(buf, sh.size)
-	sh.size += int64(n)
-	s.tel.StoreAppend(int64(len(buf)))
-	if err != nil {
-		s.flushErrors.Add(1)
-		s.tel.StoreFlushError()
-		if IsDiskFull(err) {
-			s.diskFull()
-		}
-		return fmt.Errorf("store: flush: %w", err)
-	}
-	s.tel.StoreFlush()
-	return nil
+	return fmt.Errorf("%w: %w", ErrFlush, err)
 }
 
 // readRecordLocked reads one framed record and verifies its magic and
@@ -911,11 +917,7 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 			start := int64(len(buf))
 			buf = appendRecord(buf, kind, which.seq, m.id, m.name, m.fp, body)
 			total := int64(len(buf)) - start
-			moves = append(moves, move{m: m, which: which, to: ref{
-				start: start, total: total,
-				bodyOff: start + total - 4 - int64(len(body)), bodyLen: int64(len(body)),
-				seq: which.seq,
-			}})
+			moves = append(moves, move{m: m, which: which, to: frameRef(start, total, int64(len(body)), which.seq)})
 		}
 	}
 	for _, name := range sortedTombNames(sh.tombs) {
@@ -961,12 +963,9 @@ func (s *Store) maybeCompactLocked(sh *shard) {
 // Stats is a point-in-time health snapshot, for tests and debugging.
 type Stats struct {
 	// Entries is the live project count; MissingResults how many of them
-	// have no durably readable result right now.
+	// have no readable result right now.
 	Entries        int
 	MissingResults int
-	HotEntries     int
-	HotBytes       int64
-	Evictions      int64
 	Quarantined    int64
 	Compactions    int64
 	FlushErrors    int64
@@ -985,7 +984,6 @@ type Stats struct {
 // StatsSnapshot gathers Stats across all shards.
 func (s *Store) StatsSnapshot() Stats {
 	var st Stats
-	st.HotEntries, st.HotBytes, st.Evictions = s.hot.stats()
 	st.Quarantined = s.quarantined.Load()
 	st.Compactions = s.compactions.Load()
 	st.FlushErrors = s.flushErrors.Load()
@@ -997,12 +995,8 @@ func (s *Store) StatsSnapshot() Stats {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		st.Entries += len(sh.byID)
-		for id, m := range sh.byID {
-			if sh.file != nil {
-				if !m.res.ok() {
-					st.MissingResults++
-				}
-			} else if _, ok := s.hot.get(id); !ok {
+		for _, m := range sh.byID {
+			if !m.hasResult() {
 				st.MissingResults++
 			}
 		}

@@ -47,10 +47,14 @@ func wantGet(t *testing.T, s *Store, id, tier string, want []byte) {
 	}
 }
 
+// TestPutGetRoundTrip runs both modes; each Get reports its mode as the
+// tier, and the store telemetry splits lookups into served from memory
+// (hot hits) and not in memory (hot misses, then disk hits or misses).
 func TestPutGetRoundTrip(t *testing.T) {
 	for _, mode := range []string{"memory", "disk"} {
 		t.Run(mode, func(t *testing.T) {
-			cfg := Config{Shards: 4}
+			tel := telemetry.New()
+			cfg := Config{Shards: 4, Telemetry: tel}
 			if mode == "disk" {
 				cfg.Dir = t.TempDir()
 			}
@@ -68,7 +72,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 			}
 			for i := 0; i < 20; i++ {
 				e := entry(i, 1)
-				wantGet(t, s, e.ID, "hot", e.Result)
+				wantGet(t, s, e.ID, mode, e.Result)
 				src, ok := s.Source(e.ID)
 				if !ok || !bytes.Equal(src, e.Source) {
 					t.Fatalf("Source(%s): ok=%v, wrong bytes", e.ID, ok)
@@ -80,6 +84,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 			}
 			if _, _, ok := s.Get("no-such-id"); ok {
 				t.Fatal("Get of unknown id reported a hit")
+			}
+			st := tel.Snapshot().Store
+			want := [4]int64{20, 1, 0, 1} // hot hits, hot misses, disk hits, disk misses
+			if mode == "disk" {
+				want = [4]int64{0, 21, 20, 1}
+			}
+			if got := [4]int64{st.HotHits, st.HotMisses, st.DiskHits, st.DiskMisses}; got != want {
+				t.Fatalf("store telemetry hot/miss/disk/miss = %v, want %v", got, want)
 			}
 		})
 	}
@@ -209,53 +221,26 @@ func TestReopenIgnoresDifferingShardConfig(t *testing.T) {
 	}
 }
 
-func TestHotEvictionFallsThroughToDisk(t *testing.T) {
-	tel := telemetry.New()
-	s, err := Open(Config{Dir: t.TempDir(), Shards: 2, HotEntries: 1, Telemetry: tel})
+// TestMemoryModeKeepsEveryResult pins that a memory-mode store holds the
+// result of every live entry: nothing is evicted, so no entry ever counts
+// as awaiting repair.
+func TestMemoryModeKeepsEveryResult(t *testing.T) {
+	s, err := Open(Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	a, b := entry(0, 1), entry(1, 1)
-	mustPut(t, s, a)
-	mustPut(t, s, b) // evicts a from the 1-entry hot tier
-	wantGet(t, s, a.ID, "disk", a.Result)
-	wantGet(t, s, a.ID, "hot", a.Result) // promoted back
-	st := s.StatsSnapshot()
-	if st.Evictions == 0 {
-		t.Fatal("expected hot-tier evictions")
+	const n = 1025
+	for i := 0; i < n; i++ {
+		mustPut(t, s, entry(i, 1))
 	}
-	rep := tel.Snapshot()
-	if rep.Store.DiskHits == 0 || rep.Store.Evictions == 0 {
-		t.Fatalf("telemetry: disk_hits=%d evictions=%d, want both > 0",
-			rep.Store.DiskHits, rep.Store.Evictions)
+	if st := s.StatsSnapshot(); st.Entries != n || st.MissingResults != 0 {
+		t.Fatalf("Entries = %d, MissingResults = %d; want %d, 0", st.Entries, st.MissingResults, n)
 	}
-}
-
-func TestMemoryModeResultEvictionLeavesSource(t *testing.T) {
-	s, err := Open(Config{Shards: 2, HotEntries: 1})
-	if err != nil {
-		t.Fatal(err)
+	for _, i := range []int{0, n / 2, n - 1} {
+		e := entry(i, 1)
+		wantGet(t, s, e.ID, "memory", e.Result)
 	}
-	defer s.Close()
-
-	a, b := entry(0, 1), entry(1, 1)
-	mustPut(t, s, a)
-	mustPut(t, s, b)
-	// With no disk tier the evicted result is gone…
-	if _, _, ok := s.Get(a.ID); ok {
-		t.Fatal("memory mode served an evicted result")
-	}
-	// …but the source survives, so the entry is recomputable.
-	src, ok := s.Source(a.ID)
-	if !ok || !bytes.Equal(src, a.Source) {
-		t.Fatal("memory mode lost the source snapshot")
-	}
-	if err := s.PutResult(a.ID, a.Result); err != nil {
-		t.Fatal(err)
-	}
-	wantGet(t, s, a.ID, "hot", a.Result)
 }
 
 func TestPutResultPersists(t *testing.T) {
@@ -332,7 +317,7 @@ func TestCompactionReclaimsGarbage(t *testing.T) {
 		t.Fatal("expected compactions under churn")
 	}
 	want := entry(0, 50)
-	wantGet(t, s, want.ID, "hot", want.Result)
+	wantGet(t, s, want.ID, "disk", want.Result)
 
 	// The segment must have shrunk to roughly the live set.
 	fi, err := os.Stat(filepath.Join(dir, "shard-000.seg"))
@@ -441,7 +426,7 @@ func TestOpenRejectsInvalidStoreMeta(t *testing.T) {
 }
 
 func TestConcurrentPutGet(t *testing.T) {
-	s, err := Open(Config{Dir: t.TempDir(), Shards: 4, HotEntries: 8})
+	s, err := Open(Config{Dir: t.TempDir(), Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // ReportSchemaVersion identifies the report layout; consumers should
 // reject versions they do not understand. Bump it whenever a field is
 // added, removed, or changes meaning.
-const ReportSchemaVersion = 4
+const ReportSchemaVersion = 5
 
 // StageReport is one stage's aggregated telemetry. Field order is part
 // of the report contract and is pinned by a golden test.
@@ -57,7 +57,10 @@ type CacheReport struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// StoreReport aggregates the two-tier result store's telemetry.
+// StoreReport aggregates the result store's telemetry. HotHits counts
+// lookups served from process memory (memory mode), HotMisses lookups
+// not in memory (every disk-mode lookup); DiskHits/DiskMisses split the
+// latter, a miss meaning no readable result anywhere.
 type StoreReport struct {
 	HotHits     int64 `json:"hot_hits"`
 	HotMisses   int64 `json:"hot_misses"`
@@ -68,9 +71,8 @@ type StoreReport struct {
 	FlushErrors int64 `json:"flush_errors"`
 	Compactions int64 `json:"compactions"`
 	Quarantined int64 `json:"quarantined"`
-	Evictions   int64 `json:"evictions"`
 	// Reanalyses counts projects recomputed from their persisted source
-	// because the stored result was evicted or quarantined.
+	// because the stored result was quarantined.
 	Reanalyses int64 `json:"reanalyses"`
 	// ScrubPasses/ScrubbedRecords/Repairs summarize the background
 	// scrubber: full passes completed, records proactively verified, and
@@ -85,7 +87,7 @@ type StoreReport struct {
 	BytesRead      int64 `json:"bytes_read"`
 	BytesWritten   int64 `json:"bytes_written"`
 	// HitRate is (HotHits+DiskHits)/(HotHits+DiskHits+DiskMisses): the
-	// fraction of lookups any tier answered. 0 with no traffic.
+	// fraction of lookups answered. 0 with no traffic.
 	HitRate float64 `json:"hit_rate"`
 }
 
@@ -206,7 +208,6 @@ func (c *Collector) Snapshot() *Report {
 		FlushErrors:     c.storeFlushErrors.Load(),
 		Compactions:     c.storeCompactions.Load(),
 		Quarantined:     c.storeQuarant.Load(),
-		Evictions:       c.storeEvictions.Load(),
 		Reanalyses:      c.storeReanalyses.Load(),
 		ScrubPasses:     c.storeScrubPasses.Load(),
 		ScrubbedRecords: c.storeScrubbed.Load(),

@@ -191,7 +191,6 @@ type Collector struct {
 	storeFlushErrors atomic.Int64
 	storeCompactions atomic.Int64
 	storeQuarant     atomic.Int64
-	storeEvictions   atomic.Int64
 	storeReanalyses  atomic.Int64
 	storeScrubPasses atomic.Int64
 	storeScrubbed    atomic.Int64
@@ -310,8 +309,8 @@ func (c *Collector) CacheReap() {
 	c.cacheReaped.Add(1)
 }
 
-// StoreHotHit records a result-store hit served from the in-memory hot
-// tier, n bytes. Nil-safe.
+// StoreHotHit records a result-store hit served from process memory (a
+// memory-mode store), n bytes. Nil-safe.
 func (c *Collector) StoreHotHit(n int64) {
 	if c == nil {
 		return
@@ -320,8 +319,9 @@ func (c *Collector) StoreHotHit(n int64) {
 	c.storeBytesIn.Add(n)
 }
 
-// StoreHotMiss records a hot-tier miss (the lookup continues to the disk
-// tier when one is configured). Nil-safe.
+// StoreHotMiss records a result-store lookup not answered from memory
+// (every lookup of a disk-mode store, which continues to the segment
+// files). Nil-safe.
 func (c *Collector) StoreHotMiss() {
 	if c == nil {
 		return
@@ -391,16 +391,8 @@ func (c *Collector) StoreQuarantine() {
 	c.storeQuarant.Add(1)
 }
 
-// StoreEvict records a hot-tier eviction. Nil-safe.
-func (c *Collector) StoreEvict() {
-	if c == nil {
-		return
-	}
-	c.storeEvictions.Add(1)
-}
-
 // StoreReanalysis records a project recomputed from its persisted source
-// snapshot because its stored result was evicted or quarantined. Nil-safe.
+// snapshot because its stored result was quarantined. Nil-safe.
 func (c *Collector) StoreReanalysis() {
 	if c == nil {
 		return

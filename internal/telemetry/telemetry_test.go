@@ -42,7 +42,6 @@ func TestNilCollectorIsNoOp(t *testing.T) {
 	c.StoreFlushError()
 	c.StoreCompaction()
 	c.StoreQuarantine()
-	c.StoreEvict()
 	c.StoreReanalysis()
 	c.Fault("site", "kind")
 	c.Degradation("parse")
@@ -191,7 +190,6 @@ func TestStoreCounters(t *testing.T) {
 	c.StoreFlushError()
 	c.StoreCompaction()
 	c.StoreQuarantine()
-	c.StoreEvict()
 	c.StoreReanalysis()
 
 	sr := c.Snapshot().Store
@@ -201,7 +199,7 @@ func TestStoreCounters(t *testing.T) {
 	if sr.Appends != 2 || sr.Flushes != 1 || sr.FlushErrors != 1 || sr.Compactions != 1 {
 		t.Fatalf("write-path counters wrong: %+v", sr)
 	}
-	if sr.Quarantined != 1 || sr.Evictions != 1 || sr.Reanalyses != 1 {
+	if sr.Quarantined != 1 || sr.Reanalyses != 1 {
 		t.Fatalf("health counters wrong: %+v", sr)
 	}
 	if sr.BytesRead != 500 || sr.BytesWritten != 750 {

@@ -226,13 +226,6 @@ func AnalyzeCorpus(c *Corpus) error {
 	return c.Analyze(quantize.DefaultScheme())
 }
 
-// AnalyzeCorpusParallel is AnalyzeCorpus with a bounded worker pool;
-// workers <= 0 selects GOMAXPROCS. Results are identical to the
-// sequential form.
-func AnalyzeCorpusParallel(c *Corpus, workers int) error {
-	return c.AnalyzeParallel(quantize.DefaultScheme(), workers)
-}
-
 // PipelineOptions configures the shard-per-core analysis pipeline:
 // shard count, fail-fast vs collect-all error handling, and the
 // content-hash cache directory. The zero value is a sensible default

@@ -1,6 +1,7 @@
 package schemaevo
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -155,7 +156,7 @@ func TestFacadeCoverage(t *testing.T) {
 	if c.Len() != 151 {
 		t.Fatalf("paper corpus = %d", c.Len())
 	}
-	if err := AnalyzeCorpusParallel(c, 4); err != nil {
+	if _, err := AnalyzeCorpusPipeline(context.Background(), c, PipelineOptions{Shards: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range c.Projects {

@@ -312,6 +312,36 @@ func TestTerminalErrorsAreNotRetried(t *testing.T) {
 	}
 }
 
+// TestNoDDLSubmitIsNotRetried pins that a history with no DDL file is
+// the caller's fault end to end: the real service answers 400 and Submit
+// gives up after exactly one attempt, with no backoff sleep.
+func TestNoDDLSubmitIsNotRetried(t *testing.T) {
+	svc := newRealService(t)
+	var mu sync.Mutex
+	calls := 0
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+		svc.ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+
+	c := New(Config{BaseURL: hs.URL})
+	sleeps := recordedSleeps(c)
+	noDDL := []byte(`{"name":"no-ddl","commits":[{"id":"c1","time":"2020-01-01T00:00:00Z","files":{"main.go":"package main"}}]}`)
+	_, err := c.Submit(context.Background(), noDDL)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("submit error = %v, want a 400 APIError", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 1 || len(*sleeps) != 0 {
+		t.Fatalf("server saw %d attempts with %d backoff sleeps, want exactly 1 and none", calls, len(*sleeps))
+	}
+}
+
 // TestReadyAgainstRealService pins Ready's no-retry-on-503 contract
 // against the real server in both states.
 func TestReadyAgainstRealService(t *testing.T) {
